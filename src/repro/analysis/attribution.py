@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-import networkx as nx
-
 from repro.core.report import DomainFinding
 
 
@@ -48,18 +46,36 @@ def _infra_nodes(finding: DomainFinding) -> list[str]:
     return nodes
 
 
-def cluster_campaigns(findings: list[DomainFinding]) -> list[CampaignCluster]:
-    """Connected components over the victim-infrastructure graph."""
-    graph = nx.Graph()
+def _find(parent: dict[str, str], node: str) -> str:
+    """The root of ``node``'s set, halving the path on the way up."""
+    while parent[node] != node:
+        parent[node] = parent[parent[node]]
+        node = parent[node]
+    return node
+
+
+def _connected_components(findings: list[DomainFinding]) -> list[list[str]]:
+    """Components of the victim-infrastructure graph, by union-find."""
+    parent: dict[str, str] = {}
     for finding in findings:
         victim_node = f"victim:{finding.domain}"
-        graph.add_node(victim_node)
+        parent.setdefault(victim_node, victim_node)
         for node in _infra_nodes(finding):
-            graph.add_edge(victim_node, node)
+            parent.setdefault(node, node)
+            root, other = _find(parent, victim_node), _find(parent, node)
+            if root != other:
+                parent[other] = root
+    components: dict[str, list[str]] = {}
+    for node in parent:
+        components.setdefault(_find(parent, node), []).append(node)
+    return list(components.values())
 
+
+def cluster_campaigns(findings: list[DomainFinding]) -> list[CampaignCluster]:
+    """Connected components over the victim-infrastructure graph."""
     by_domain = {f.domain: f for f in findings}
     clusters: list[CampaignCluster] = []
-    for component in nx.connected_components(graph):
+    for component in _connected_components(findings):
         domains = sorted(
             node.split(":", 1)[1] for node in component if node.startswith("victim:")
         )

@@ -35,6 +35,7 @@ from functools import cached_property
 from repro.net.timeline import DateInterval, Period
 from repro.scan.annotate import AnnotatedScanRecord
 from repro.scan.dataset import ScanDataset
+from repro.scan.table import ScanTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,15 +134,92 @@ class Deployment:
         return tuple(g.scan_date for g in self.groups)
 
 
-@dataclass
 class DeploymentMap:
-    """All deployments of one domain within one analysis period."""
+    """All deployments of one domain within one analysis period.
 
-    domain: str
-    period: Period
-    deployments: list[Deployment]
-    scan_dates_in_period: tuple[date, ...]
-    records: list[AnnotatedScanRecord] = field(default_factory=list, repr=False)
+    ``records`` are the domain's raw scan records inside the period.  A
+    map decoded by the columnar kernel holds only its table and CSR
+    period slice and materializes the list on first read: the funnel
+    reads raw records only for shortlisted transients, a tiny share of
+    the maps.  Equality compares the records; a pickled map carries the
+    materialized list and never the table.
+    """
+
+    __slots__ = (
+        "domain", "period", "deployments", "scan_dates_in_period",
+        "_records", "_slice",
+    )
+
+    def __init__(
+        self,
+        domain: str,
+        period: Period,
+        deployments: list[Deployment],
+        scan_dates_in_period: tuple[date, ...],
+        records: list[AnnotatedScanRecord] | None = None,
+    ) -> None:
+        self.domain = domain
+        self.period = period
+        self.deployments = deployments
+        self.scan_dates_in_period = scan_dates_in_period
+        self._records = [] if records is None else records
+        self._slice: tuple[ScanTable, int, int] | None = None
+
+    @classmethod
+    def _lazy(
+        cls,
+        domain: str,
+        period: Period,
+        deployments: list[Deployment],
+        scan_dates_in_period: tuple[date, ...],
+        table: ScanTable,
+        lo: int,
+        hi: int,
+    ) -> DeploymentMap:
+        """A map whose records resolve from ``table``'s CSR ``[lo, hi)``."""
+        map_ = cls(domain, period, deployments, scan_dates_in_period)
+        map_._records = None
+        map_._slice = (table, lo, hi)
+        return map_
+
+    @property
+    def records(self) -> list[AnnotatedScanRecord]:
+        if self._records is None:
+            table, lo, hi = self._slice
+            self._records = [table.record(table.csr_rows[i]) for i in range(lo, hi)]
+            self._slice = None
+        return self._records
+
+    @records.setter
+    def records(self, records: list[AnnotatedScanRecord]) -> None:
+        self._records = records
+        self._slice = None
+
+    def _fields(self) -> tuple:
+        return (
+            self.domain, self.period, self.deployments,
+            self.scan_dates_in_period, self.records,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, as a dataclass
+
+    def __repr__(self) -> str:
+        return (
+            f"DeploymentMap(domain={self.domain!r}, period={self.period!r}, "
+            f"deployments={self.deployments!r}, "
+            f"scan_dates_in_period={self.scan_dates_in_period!r})"
+        )
+
+    def __getstate__(self) -> tuple:
+        return self._fields()
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
 
     @property
     def visible_dates(self) -> tuple[date, ...]:
@@ -208,8 +286,8 @@ def build_deployment_map(
     lists; dataset-wide construction goes through the columnar kernel
     (:func:`build_domain_maps`), which must produce identical maps.
 
-    ``with_records=False`` leaves ``map.records`` empty — callers then
-    restore the raw records with :func:`attach_period_records`.
+    ``with_records=False`` leaves ``map.records`` empty, as the
+    pre-columnar kernel shipped its maps between processes.
     """
     in_period = [r for r in records if period.contains(r.scan_date)]
     cells: dict[tuple[date, int], dict[str, set]] = {}
@@ -240,18 +318,6 @@ def build_deployment_map(
         scan_dates_in_period=scan_dates_in_period,
         records=in_period if with_records else [],
     )
-
-
-def attach_period_records(map_: DeploymentMap, dataset: ScanDataset) -> None:
-    """Restore ``map.records`` on a map built with ``with_records=False``.
-
-    Produces the exact list ``build_deployment_map`` would have attached:
-    the domain's records filtered to the map's period, in dataset order —
-    one bisect-found contiguous CSR slice of the columnar table.
-    """
-    table = dataset.table
-    lo, hi = table.period_slice(map_.domain, map_.period.start, map_.period.end)
-    map_.records = [table.record(table.csr_rows[i]) for i in range(lo, hi)]
 
 
 # -- the columnar kernel and its compact encoded form --------------------------
@@ -428,7 +494,6 @@ def decode_domain_maps(
     encoded: EncodedDomainMaps,
     dataset: ScanDataset,
     periods: tuple[Period, ...],
-    with_records: bool = True,
 ) -> list[tuple[tuple[str, int], DeploymentMap]]:
     """Materialize object maps from the encoded form via the table pools.
 
@@ -436,7 +501,9 @@ def decode_domain_maps(
     on the table per id tuple, so a stable deployment's unchanged
     IP/cert/country sets are one shared object across all its weekly
     groups — then fans out into one group per scan index, with dates
-    read straight from the period's (memoized) scan calendar.
+    read straight from the period's (memoized) scan calendar.  No scan
+    record is built here: each map keeps its period's CSR slice and
+    ``map.records`` resolves from it on first read.
     """
     table = dataset.table
     asns = table.asns
@@ -467,14 +534,10 @@ def decode_domain_maps(
                         )
                     )
             deployments.append(Deployment(domain=domain, asn=asn, groups=groups))
-        map_ = DeploymentMap(
-            domain=domain,
-            period=period,
-            deployments=deployments,
-            scan_dates_in_period=dates_in_period,
+        lo, hi = table.period_slice(domain, period.start, period.end)
+        map_ = DeploymentMap._lazy(
+            domain, period, deployments, dates_in_period, table, lo, hi
         )
-        if with_records:
-            attach_period_records(map_, dataset)
         maps.append(((domain, period_index), map_))
     return maps
 
@@ -484,7 +547,6 @@ def build_domain_maps(
     domain: str,
     periods: tuple[Period, ...],
     max_gap_scans: int = 6,
-    with_records: bool = True,
 ) -> list[tuple[tuple[str, int], DeploymentMap]]:
     """Build one domain's maps across all periods, keyed (domain, index).
 
@@ -493,9 +555,7 @@ def build_domain_maps(
     the domain set rebuilds exactly :func:`build_deployment_maps`.
     """
     encoded = encode_domain_maps(dataset, domain, periods, max_gap_scans)
-    return decode_domain_maps(
-        domain, encoded, dataset, periods, with_records=with_records
-    )
+    return decode_domain_maps(domain, encoded, dataset, periods)
 
 
 def build_deployment_maps(

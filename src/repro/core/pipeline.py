@@ -396,7 +396,8 @@ class DeploymentMapStage(Stage):
         domains = ctx.inputs.scan.domains()
         # Workers ship the compact int-tuple encoding — pool ids over
         # the shared scan table, not object graphs; materialize the map
-        # objects (and their raw records) here against the parent table.
+        # objects here against the parent table.  Raw records stay in
+        # the table until a map's ``records`` is read.
         per_domain = backend.map("deployment", domains, key=lambda d: d)
         # Index the pool only for domains that mapped to something:
         # enumerate keeps the sweep over a million-domain population from

@@ -57,12 +57,24 @@ class RecursiveResolver:
         # TLD registries come into existence.
         self._registries = registries
         self._directory = directory
+        self._by_suffix: dict[str, Registry] = {}
+        self._indexed = 0
 
     def registry_for(self, domain: str) -> Registry | None:
-        for registry in self._registries:
-            if registry.administers(domain):
-                return registry
-        return None
+        """The first registry (in list order) administering the domain.
+
+        One suffix computation and a dict lookup: the suffix index is
+        rebuilt whenever the registry list has changed length.
+        """
+        if self._indexed != len(self._registries):
+            self._by_suffix = {}
+            for registry in self._registries:
+                for suffix in registry.suffixes:
+                    self._by_suffix.setdefault(suffix, registry)
+            self._indexed = len(self._registries)
+        if not self._by_suffix:
+            return None
+        return self._by_suffix.get(public_suffix(domain))
 
     #: CNAME chains longer than this SERVFAIL (loop protection).
     MAX_CNAME_DEPTH = 8

@@ -86,12 +86,12 @@ def measure_deployment_kernel(
     Two speedups are reported, both measured:
 
     * ``speedup`` compares the kernels alone — the legacy row path over
-      pre-materialized records versus columnar encode + decode (both
-      producing maps without records, as on the wire);
+      pre-materialized records versus columnar encode + decode (neither
+      resolving any records, as on the wire);
     * ``roundtrip_speedup`` adds what the process backend pays on top —
       pickling the worker-result form, unpickling it in the parent, and
-      attaching period records (the legacy per-map record filter versus
-      the decode-side CSR slice).
+      resolving every map's period records (the legacy per-map record
+      filter versus reading each decoded map's lazy CSR slice).
 
     Payload bytes are the pickled worker-result forms: object-graph
     maps before, the run-length int encoding after.
@@ -114,9 +114,7 @@ def measure_deployment_kernel(
     ]
     columnar_maps: dict[tuple[str, int], Any] = {}
     for domain, enc in encoded:
-        columnar_maps.update(
-            decode_domain_maps(domain, enc, dataset, periods, with_records=False)
-        )
+        columnar_maps.update(decode_domain_maps(domain, enc, dataset, periods))
     columnar_seconds = time.perf_counter() - t0
     n_maps = len(columnar_maps)
     columnar_maps.clear()
@@ -125,7 +123,8 @@ def measure_deployment_kernel(
     t0 = time.perf_counter()
     encoded_blob = pickle.dumps([pair for pair in encoded if pair[1]], protocol=5)
     for domain, enc in pickle.loads(encoded_blob):
-        decode_domain_maps(domain, enc, dataset, periods, with_records=True)
+        for _, map_ in decode_domain_maps(domain, enc, dataset, periods):
+            len(map_.records)  # resolve the records, as the legacy side does
     columnar_roundtrip = time.perf_counter() - t0
     gc.collect()
 
@@ -204,17 +203,17 @@ def measure_funnel_stages(inputs: Any, config: Any = None) -> dict[str, Any]:
         }
 
     # Stage-1 products, shared by both sides: the deployment wire forms
-    # and the decoded maps (with period records attached — the legacy
-    # shortlist evidence path filters them).
+    # and the decoded maps (with period records resolved up front — the
+    # legacy shortlist evidence path filters them).
     encoded_items = [
         (domain, encode_domain_maps(dataset, domain, periods, config.max_gap_scans))
         for domain in dataset.domains()
     ]
     maps: dict[tuple[str, int], Any] = {}
     for domain, enc in encoded_items:
-        maps.update(
-            decode_domain_maps(domain, enc, dataset, periods, with_records=True)
-        )
+        maps.update(decode_domain_maps(domain, enc, dataset, periods))
+    for map_ in maps.values():
+        len(map_.records)
     date_ords = {
         p.index: tuple(d.toordinal() for d in dataset.scan_dates_in(p))
         for p in periods

@@ -22,8 +22,10 @@ domain's records inside this period" is a ``bisect``-found contiguous
 slice rather than a per-period linear filter — the access pattern the
 deployment-map kernel clusters over directly.
 
-Row objects still exist where the public API hands them out
-(``records_for``, ``map.records``, inspection evidence): the table
+Row objects exist only where the public API hands them out
+(``records_for``, inspection evidence, and a deployment map's
+``records``, which a decoded map resolves from its CSR period slice on
+first read — a hunt reads it only for shortlisted transients): the table
 materializes :class:`AnnotatedScanRecord` dataclasses *lazily* from the
 columns and memoizes them, and a table built ``from_records`` seeds that
 memo with the caller's own objects, so the row view is identical to what
