@@ -4,8 +4,9 @@ The paper contrasts its constructive, attack-requirement-driven
 methodology with prior work that trains a classifier over passive-DNS
 features.  This package implements that style of baseline from scratch:
 per-domain features extracted from the scan + pDNS view, a logistic
-regression trained by gradient descent (numpy only), and an evaluation
-harness comparing precision/recall against the pipeline's verdicts.
+regression trained by gradient descent (numpy only).  Its flagged set is
+scored against the ledger like every other detector's, by
+:func:`repro.detect.arena.score_sets`.
 """
 
 from repro.baseline.features import FEATURE_NAMES, domain_features

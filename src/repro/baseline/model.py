@@ -95,55 +95,3 @@ def train_baseline(
     model = LogisticRegression()
     model.fit(np.array(rows), np.array(labels))
     return BaselineClassifier(model=model, scan=scan, pdns=pdns, periods=periods)
-
-
-@dataclass
-class ComparisonRow:
-    """Deprecated shim: use :class:`repro.detect.arena.DetectorScore`.
-
-    Kept only so old callers of :func:`compare_methods` keep working;
-    the arena scorer is the single scoring implementation now.
-    """
-
-    method: str
-    precision: float
-    recall: float
-
-    @property
-    def f1(self) -> float:
-        if self.precision + self.recall == 0:
-            return 0.0
-        return 2 * self.precision * self.recall / (self.precision + self.recall)
-
-
-def compare_methods(
-    flagged: set[str],
-    pipeline_found: set[str],
-    truth: set[str],
-    all_domains: set[str],
-) -> list[ComparisonRow]:
-    """Deprecated: delegate to :func:`repro.detect.arena.score_sets`.
-
-    The evaluation arena scores every registered detector with one
-    implementation; this shim survives one release for callers that
-    still compare "the baseline vs the pipeline" by hand.
-    """
-    import warnings
-
-    from repro.detect.arena import score_sets
-
-    warnings.warn(
-        "compare_methods is deprecated; score flagged sets with "
-        "repro.detect.arena.score_sets (or run the full sweep with "
-        "repro.detect.arena.run_arena)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    del all_domains  # kept for signature compatibility; rates need only the sets
-    return [
-        ComparisonRow(method=s.method, precision=s.precision, recall=s.recall)
-        for s in (
-            score_sets("ml-baseline", flagged, truth),
-            score_sets("pipeline", pipeline_found, truth),
-        )
-    ]

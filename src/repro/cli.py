@@ -491,25 +491,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         metrics.write(args.out)
         logger.info("run manifest written to %s", args.out)
     if args.json:
-        from repro.core.pipeline import PipelineInputs
         from repro.obs.perf import perf_summary, write_perf_summary
 
-        summary = perf_summary(
-            study.scan,
-            study.periods,
-            metrics,
-            inputs=PipelineInputs.from_study(study),
-        )
+        summary = perf_summary(study.scan, metrics)
         write_perf_summary(args.json, summary)
-        kernel = summary["deployment_kernel"]
-        funnel = summary["funnel_stages"]
         logger.info(
-            "perf summary written to %s (deployment kernel %sx faster, "
-            "payload %sx smaller; classify %sx, shortlist %sx, "
-            "inspect %sx, assemble %sx)",
-            args.json, kernel["speedup"], kernel["payload_ratio"],
-            funnel["classify"]["speedup"], funnel["shortlist"]["speedup"],
-            funnel["inspect"]["speedup"], funnel["assemble"]["speedup"],
+            "perf summary written to %s (%d stages, %.3f s total, "
+            "%d column bytes)",
+            args.json, len(summary["stages"]), summary["total_wall_seconds"],
+            summary["dataset"]["column_bytes"],
         )
     _write_trace(tracer, args)
     return 0
@@ -1187,8 +1177,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--json",
         metavar="FILE",
-        help="write a BENCH_perf.json summary (stage wall times, dataset "
-        "bytes, measured legacy-vs-columnar kernel time and payload bytes)",
+        help="write a BENCH_perf.json summary (per-stage wall times and "
+        "memory, dataset column and pickle bytes; REPRO_SEGMENTS_SCALE and "
+        "REPRO_EPOCHS_SCALE add the segment and epoch sections)",
     )
     profile.add_argument(
         "--manifest", metavar="FILE", help="render an existing manifest instead"

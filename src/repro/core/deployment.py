@@ -278,16 +278,12 @@ def build_deployment_map(
     period: Period,
     scan_dates_in_period: tuple[date, ...],
     max_gap_scans: int = 6,
-    with_records: bool = True,
 ) -> DeploymentMap:
     """Build one domain's deployment map for one period (row path).
 
     This is the reference row-at-a-time algorithm over explicit record
     lists; dataset-wide construction goes through the columnar kernel
     (:func:`build_domain_maps`), which must produce identical maps.
-
-    ``with_records=False`` leaves ``map.records`` empty, as the
-    pre-columnar kernel shipped its maps between processes.
     """
     in_period = [r for r in records if period.contains(r.scan_date)]
     cells: dict[tuple[date, int], dict[str, set]] = {}
@@ -316,7 +312,7 @@ def build_deployment_map(
         period=period,
         deployments=deployments,
         scan_dates_in_period=scan_dates_in_period,
-        records=in_period if with_records else [],
+        records=in_period,
     )
 
 

@@ -10,7 +10,8 @@ order, typed-array columns for the dates and crt.sh ids, and first-seen
 -order interned pools (issuers, SAN sets, certificates keyed by
 fingerprint) whose ids are a pure function of the row stream.
 
-The registered-domain index replicates the legacy semantics exactly:
+The registered-domain index replicates a per-base list index exactly
+(the oracle in ``tests/reference.py``):
 every row is appended to the bucket of each SAN's registered domain *per
 SAN* (a certificate naming two subdomains of one base appears twice,
 like the reference index), buckets keep first-insertion base order, and
@@ -64,7 +65,7 @@ class CtTable:
         self.hidden_entries = 0
         # -- per-registered-domain CSR index ---------------------------------
         self.bases: tuple[str, ...] = ()
-        self.base_rows = array("I")  # legacy append order, one slot per (row, SAN)
+        self.base_rows = array("I")  # append order, one slot per (row, SAN)
         self.base_sorted = array("I")  # per base: stable (not_before, crtsh_id) sort
         self.base_nb = array("i")  # not-before ordinals parallel to base_sorted
         self.base_off = array("I", [0])
@@ -120,7 +121,7 @@ class CtTable:
         return self.interned_date(self.logged_ord[row])
 
     def lookup_row(self, crtsh_id: int) -> int | None:
-        """First row carrying this crt.sh id, in the legacy traversal
+        """First row carrying this crt.sh id, in the reference traversal
         order (base insertion order, bucket append order)."""
         index = self._by_crtsh
         if index is None:

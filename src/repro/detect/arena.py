@@ -15,8 +15,8 @@ without re-running detection) and every pack gets a standard run
 manifest.
 
 Scoring is set-based — flagged domains against the ledger — and lives
-here, in one place: :func:`score_sets` is also what the deprecated
-``repro.baseline.compare_methods`` shim delegates to.
+here, in one place: :func:`score_sets` is the single scorer for the
+sweep, the ML baseline, and any by-hand "method vs pipeline" comparison.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ def score_sets(
 ) -> DetectorScore:
     """Score a flagged-domain set against a ground-truth set.
 
-    Conventions match the historical ``compare_methods``: an empty
-    flagged set has precision 1.0 (no false claims were made), an empty
-    truth set has recall 1.0 (nothing was there to find).
+    Conventions: an empty flagged set has precision 1.0 (no false
+    claims were made), an empty truth set has recall 1.0 (nothing was
+    there to find).
     """
     flagged_set = frozenset(flagged)
     truth_set = frozenset(truth)

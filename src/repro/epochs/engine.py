@@ -100,7 +100,6 @@ def merge_inputs(inputs: PipelineInputs, delta: EpochDelta) -> PipelineInputs:
         )
     for rrname, rtype, rdata, day in delta.pdns_observations:
         pdns.add_observation(rrname, rtype, rdata, day)
-    pdns.use_table = inputs.pdns.use_table
 
     return PipelineInputs(
         scan=scan,
@@ -132,15 +131,13 @@ def _merge_crtsh(base: CrtShService, delta: EpochDelta) -> CrtShService:
     registry._entries = dict(base._revocations._entries)
     for fingerprint, on, reason in delta.revocations:
         registry._entries[fingerprint] = RevocationEntry(fingerprint, on, reason)
-    merged = CrtShService(
+    return CrtShService(
         logs,
         registry,
         base._asof,
         publication_delay_days=base._publication_delay.days,
         publication_horizon=base._publication_horizon,
     )
-    merged.use_table = base.use_table
-    return merged
 
 
 def run_epoch(

@@ -18,22 +18,6 @@ from typing import Any
 
 MANIFEST_SCHEMA = "repro.exec.run-manifest/6"
 
-#: Older manifests still load: /1 lacks ``data_quality``, /2 lacks the
-#: ``metrics`` registry section, /3 lacks the ``cache`` section and the
-#: per-stage ``cached`` flag, /4 lacks the run-level and per-stage
-#: ``memory`` sections (peak RSS + optional tracemalloc deltas), /5
-#: lacks the ``epoch`` section (incremental-run accounting).
-_READABLE_SCHEMAS = frozenset(
-    {
-        MANIFEST_SCHEMA,
-        "repro.exec.run-manifest/1",
-        "repro.exec.run-manifest/2",
-        "repro.exec.run-manifest/3",
-        "repro.exec.run-manifest/4",
-        "repro.exec.run-manifest/5",
-    }
-)
-
 
 @dataclass(frozen=True, slots=True)
 class TaskEvent:
@@ -231,10 +215,10 @@ class RunMetrics:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> RunMetrics:
-        if data.get("schema") not in _READABLE_SCHEMAS:
+        if data.get("schema") != MANIFEST_SCHEMA:
             raise ValueError(
                 f"unsupported manifest schema {data.get('schema')!r} "
-                f"(expected one of {sorted(_READABLE_SCHEMAS)})"
+                f"(expected {MANIFEST_SCHEMA!r})"
             )
         return cls(
             backend=data["backend"],

@@ -14,7 +14,7 @@ both backends, the fault layer, and the CLI:
   ``metrics`` section.
 * ``memory`` — stage-boundary peak-RSS sampling (always on, one syscall
   per boundary) plus opt-in tracemalloc allocation deltas, recorded
-  into run-manifest/5.
+  into the run manifest.
 * ``events`` — live heartbeat events (run/stage/chunk boundaries,
   retries, ETA) through composable sinks: a JSONL ``--events`` stream,
   a TTY progress line, in-memory recording for tests.

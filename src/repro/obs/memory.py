@@ -1,7 +1,7 @@
 """Per-stage memory accounting for the run manifest.
 
-Two complementary signals, both recorded by the executor into
-run-manifest/5:
+Two complementary signals, both recorded by the executor into the
+run manifest:
 
 * **peak RSS** — the process's resident-set high-water mark, read from
   ``getrusage`` after every stage.  One syscall per stage boundary, so

@@ -42,11 +42,7 @@ class PassiveDNSDatabase:
         # ``None`` marks a table-backed database whose row dicts have
         # not been hydrated yet (see :meth:`from_table`).
         self._rows: dict[tuple[str, RRType, str], list] | None = {}
-        self._by_name: dict[str, set[tuple[str, RRType, str]]] = {}
         self._by_rdata: dict[str, set[tuple[str, RRType, str]]] = {}
-        #: Columnar query path toggle; the linear reference stays behind
-        #: it for the differential suites and perf baselines.
-        self.use_table = True
         self._version = 0
         self._table: PdnsTable | None = None
         self._table_version = -1
@@ -57,8 +53,8 @@ class PassiveDNSDatabase:
 
         The table's row stream must already be canonical — written from
         :meth:`all_records` order — which every segment writer preserves.
-        Row dicts hydrate lazily, only if a linear/pivot query or a
-        derivation actually needs them.
+        Row dicts hydrate lazily, only if a pivot query or a derivation
+        actually needs them.
         """
         database = cls()
         database._table = table
@@ -77,7 +73,6 @@ class PassiveDNSDatabase:
             record = table.record(row)
             key = (record.rrname, record.rtype, record.rdata)
             rows[key] = [record.first_seen, record.last_seen, record.count]
-            self._by_name.setdefault(record.rrname, set()).add(key)
             self._by_rdata.setdefault(record.rdata, set()).add(key)
         self._rows = rows
 
@@ -107,7 +102,6 @@ class PassiveDNSDatabase:
         row = self._rows.get(key)
         if row is None:
             self._rows[key] = [day, day, 1]
-            self._by_name.setdefault(rrname, set()).add(key)
             self._by_rdata.setdefault(rdata, set()).add(key)
         else:
             if day < row[0]:
@@ -130,46 +124,25 @@ class PassiveDNSDatabase:
     ) -> list[PdnsRecord]:
         """All aggregated rows for an exact rrname."""
         rrname = rrname.lower().rstrip(".")
-        if self.use_table:
-            table = self.table
-            return [
-                table.record(row)
-                for row in table.query_name_rows(rrname, rtype, window)
-            ]
-        return self._query_name_linear(rrname, rtype, window)
-
-    def _query_name_linear(
-        self,
-        rrname: str,
-        rtype: RRType | None = None,
-        window: DateInterval | None = None,
-    ) -> list[PdnsRecord]:
-        """Row-at-a-time reference for :meth:`query_name` (pre-lowered)."""
-        self._ensure_rows()
-        records = [self._materialize(k) for k in self._by_name.get(rrname, ())]
-        if rtype is not None:
-            records = [r for r in records if r.rtype is rtype]
-        if window is not None:
-            records = [r for r in records if r.overlaps(window)]
-        records.sort(key=lambda r: (r.first_seen, r.rdata))
-        return records
+        table = self.table
+        return [table.record(row) for row in table.query_name_rows(rrname, rtype, window)]
 
     def query_domain(
         self, domain: str, window: DateInterval | None = None
     ) -> list[PdnsRecord]:
         """All rows for any rrname under the registered domain."""
         base = registered_domain(domain)
-        # The CSR index buckets by each rrname's registered domain, which
-        # only matches plain suffix semantics when the queried base is a
-        # registrable domain itself; a bare public suffix falls back to
-        # the linear reference.
-        if not self.use_table or public_suffix(base) == base:
-            return self._query_domain_linear(base, window)
         table = self.table
+        if public_suffix(base) == base:
+            # The CSR index buckets by each rrname's registered domain,
+            # which only matches plain suffix semantics when the queried
+            # base is registrable itself; a bare public suffix scans the
+            # owner-name index instead.
+            return [table.record(row) for row in table.query_suffix_rows(base, window)]
         rows = table.query_domain_rows(base, window)
         if table.irregular_rows:
             # Owner names the bucketing could not place (no parseable
-            # registered domain) still suffix-match the legacy way.
+            # registered domain) still suffix-match.
             suffix = "." + base
             extra = [
                 row
@@ -182,20 +155,6 @@ class PassiveDNSDatabase:
                 records.sort(key=lambda r: (r.rrname, r.first_seen, r.rdata))
                 return records
         return [table.record(row) for row in rows]
-
-    def _query_domain_linear(
-        self, base: str, window: DateInterval | None = None
-    ) -> list[PdnsRecord]:
-        """Row-at-a-time reference for :meth:`query_domain`."""
-        self._ensure_rows()
-        records: list[PdnsRecord] = []
-        for rrname, keys in self._by_name.items():
-            if rrname == base or rrname.endswith("." + base):
-                records.extend(self._materialize(k) for k in keys)
-        if window is not None:
-            records = [r for r in records if r.overlaps(window)]
-        records.sort(key=lambda r: (r.rrname, r.first_seen, r.rdata))
-        return records
 
     def a_history(self, fqdn: str, window: DateInterval | None = None) -> list[PdnsRecord]:
         return self.query_name(fqdn, RRType.A, window)
@@ -242,7 +201,6 @@ class PassiveDNSDatabase:
         rrname, _rtype, rdata = key
         self._version += 1
         self._rows[key] = [first, last, count]
-        self._by_name.setdefault(rrname, set()).add(key)
         self._by_rdata.setdefault(rdata, set()).add(key)
 
     def without_windows(self, blackouts: list[DateInterval]) -> PassiveDNSDatabase:

@@ -19,7 +19,7 @@ Two CSR-style indexes sit on top of the columns:
 
 Owner names that have no well-formed registered domain (so the suffix
 bucketing cannot place them) are kept aside in ``irregular_rows`` and
-linearly merged by the database front door, preserving the legacy
+linearly merged by the database front door, preserving plain
 suffix-match semantics byte for byte.
 
 Rows are materialized back into :class:`~repro.pdns.database.PdnsRecord`
@@ -147,7 +147,7 @@ class PdnsTable:
             self._row_index = index
         return index[(rrname, rtype, rdata)]
 
-    # -- query kernels (row ids, pre-sorted like the legacy reference) -------
+    # -- query kernels (row ids, pre-sorted like the linear reference) -------
 
     def _window_filter(
         self, rows: Iterable[int], window: DateInterval | None
@@ -191,6 +191,21 @@ class PdnsTable:
             return []
         lo, hi = self.dom_off[index], self.dom_off[index + 1]
         return self._window_filter(self.dom_rows[lo:hi], window)
+
+    def query_suffix_rows(
+        self, base: str, window: DateInterval | None = None
+    ) -> list[int]:
+        """Rows of every owner name equal to or under ``base``, by a scan
+        of the sorted owner-name index — the answer for a base the
+        registered-domain index cannot bucket (a bare public suffix).
+        Sorted ``(rrname, first_seen, rdata)`` like
+        :meth:`query_domain_rows`."""
+        suffix = "." + base
+        rows: list[int] = []
+        for index, name in enumerate(self.names):
+            if name == base or name.endswith(suffix):
+                rows.extend(self.name_rows[self.name_off[index]:self.name_off[index + 1]])
+        return self._window_filter(rows, window)
 
     # -- canonical walks -----------------------------------------------------
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.baseline.features import FEATURE_NAMES, domain_features
 from repro.baseline.logreg import LogisticRegression
-from repro.baseline.model import compare_methods, train_baseline
+from repro.baseline.model import train_baseline
+from repro.detect.arena import score_sets
 
 
 class TestLogisticRegression:
@@ -92,15 +93,10 @@ class TestTrainedBaseline:
 
     def test_comparison_rows(self, small_study):
         truth = small_study.ground_truth.domains()
-        with pytest.warns(DeprecationWarning, match="score_sets"):
-            rows = compare_methods(
-                flagged={"example-ministry.gr", "bg000001.com"},
-                pipeline_found={"example-ministry.gr"},
-                truth=truth,
-                all_domains=set(small_study.scan.domains()),
-            )
-        baseline_row = next(r for r in rows if r.method == "ml-baseline")
-        pipeline_row = next(r for r in rows if r.method == "pipeline")
+        baseline_row = score_sets(
+            "ml-baseline", {"example-ministry.gr", "bg000001.com"}, truth
+        )
+        pipeline_row = score_sets("pipeline", {"example-ministry.gr"}, truth)
         assert baseline_row.recall == 1.0
         assert baseline_row.precision == 0.5
         assert pipeline_row.precision == 1.0

@@ -243,6 +243,32 @@ class TestExplainJson:
         assert "adpolice.gov.ae" in err
 
 
+    def test_profile_json_writes_absolute_perf_summary(self, tmp_path, monkeypatch):
+        """``profile --json`` writes the BENCH_perf.json document:
+        absolute per-stage timings and the dataset footprint, no ratio
+        sections."""
+        import json
+
+        from repro.obs.perf import PERF_SCHEMA
+
+        monkeypatch.delenv("REPRO_SEGMENTS_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_EPOCHS_SCALE", raising=False)
+        path = tmp_path / "perf.json"
+        assert main([
+            "profile", "--seed", "7", "--background", "10", "--json", str(path), "-q",
+        ]) == 0
+        perf = json.loads(path.read_text())
+        assert perf["schema"] == PERF_SCHEMA
+        assert perf["dataset"]["column_bytes"] > 0
+        stages = {stage["name"]: stage for stage in perf["stages"]}
+        assert sorted(stages) == sorted(
+            ["deployment_maps", "classify", "shortlist", "inspect", "pivot", "assemble"]
+        )
+        assert all(stage["wall_seconds"] > 0 for stage in stages.values())
+        assert "deployment_kernel" not in perf
+        assert "funnel_stages" not in perf
+
+
 class TestRunsAndMetrics:
     @pytest.fixture()
     def ledger_with_two_runs(self, tmp_path):

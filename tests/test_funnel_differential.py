@@ -4,12 +4,13 @@ The rewritten stages compute in interned-id space — ``classify_encoded``
 over the deployment wire form, bisect row slices for shortlist evidence,
 encoded inspection results decoded against the parent tables, and the
 assemble stage's precomputed victim-infrastructure index.  Each test
-re-derives one stage's product with the retained row-at-a-time reference
+re-derives one stage's product with a row-at-a-time reference
 (object-graph ``classify``, the datasetless ``Shortlister``, an
-``Inspector`` over ``use_table = False`` stores, the single-domain
-``_victim_infra`` walk) on randomized paper worlds across seeds, and
-requires identity — verdicts, evidence, provenance trails, and the
-fault runs' DataQuality ledgers alike.
+``Inspector`` over the linear pDNS and per-base CT stores of
+``tests/reference.py``, its single-domain ``victim_infra`` walk) on
+randomized paper worlds across seeds, and requires identity —
+verdicts, evidence, provenance trails, and the fault runs'
+DataQuality ledgers alike.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.types import Verdict
 from repro.exec import ProcessPoolBackend, SerialBackend
 from repro.io.reports import finding_to_row
 from repro.world.scenarios import paper_study
+from tests.reference import BaseIndexCrtSh, LinearPdns, victim_infra
 
 SEEDS = (3, 7, 21)
 BACKGROUND = 12
@@ -81,27 +83,25 @@ def test_shortlist_columnar_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_inspection_wire_form_matches_reference(seed):
     """Stage 4: the encoded worker results, decoded against the parent
-    tables, equal an Inspector run over the legacy (use_table=False)
-    pDNS index and CT per-base lists — including the T1* second pass."""
+    tables, equal an Inspector run over the linear pDNS scans and the
+    per-base CT lists — including the T1* second pass."""
     pipeline, report = _run(seed)
     inputs = pipeline.inputs
-    inputs.pdns.use_table = False
-    inputs.crtsh.use_table = False
-    try:
-        inspector = Inspector(inputs.pdns, inputs.crtsh, pipeline.config.inspection)
-        reference = inspector.inspect_many(report.shortlist)
-        confirmed = {
-            ip
-            for r in reference
-            if r.verdict is Verdict.HIJACKED
-            for ip in r.attacker_ips
-        }
-        if pipeline.config.enable_t1_star:
-            pending = [r for r in reference if r.pending_t1_star]
-            Inspector.resolve_t1_star(pending, frozenset(confirmed))
-    finally:
-        inputs.pdns.use_table = True
-        inputs.crtsh.use_table = True
+    inspector = Inspector(
+        LinearPdns(inputs.pdns),
+        BaseIndexCrtSh.of(inputs.crtsh),
+        pipeline.config.inspection,
+    )
+    reference = inspector.inspect_many(report.shortlist)
+    confirmed = {
+        ip
+        for r in reference
+        if r.verdict is Verdict.HIJACKED
+        for ip in r.attacker_ips
+    }
+    if pipeline.config.enable_t1_star:
+        pending = [r for r in reference if r.pending_t1_star]
+        Inspector.resolve_t1_star(pending, frozenset(confirmed))
     assert report.inspections == reference
 
 
@@ -117,22 +117,28 @@ def test_inspection_encode_decode_round_trips(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_assemble_matches_reference_builder(seed):
     """Assembly: findings built with the precomputed victim-infra index
-    equal the reference builder's (per-domain table rescans), provenance
-    trails included, row for row."""
+    equal a builder that rescans the classification table per domain
+    (``victim_infra``), provenance trails included, row for row."""
     pipeline, report = _run(seed)
-    builder = _FindingBuilder(pipeline.inputs)  # no precompute: reference
+    classifications = report.classifications
+
+    class _RescanBuilder(_FindingBuilder):
+        def victim_infra(self, domain):
+            return victim_infra(classifications, domain)
+
+    builder = _RescanBuilder(pipeline.inputs, {})
     reference = []
     seen: set[str] = set()
     for result in report.inspections:
         if result.verdict in (Verdict.HIJACKED, Verdict.TARGETED):
             if result.domain in seen:
                 continue
-            reference.append(builder.from_inspection(result, report.classifications))
+            reference.append(builder.from_inspection(result))
             seen.add(result.domain)
     for pivot in report.pivots:
         if pivot.domain in seen:
             continue
-        reference.append(builder.from_pivot(pivot, report.classifications))
+        reference.append(builder.from_pivot(pivot))
         seen.add(pivot.domain)
     reference.sort(
         key=lambda f: ((f.victim_ccs[0] if f.victim_ccs else "zz"), f.domain)

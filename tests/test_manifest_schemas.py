@@ -1,12 +1,9 @@
-"""Run-manifest schema compatibility.
+"""Run-manifest schema: only the current schema loads.
 
-The manifest is a long-lived artifact: profiles saved by older builds
-must keep loading.  Schema /1 predates the ``data_quality`` ledger,
-/2 predates the ``metrics`` registry section, /3 predates the ``cache``
-section and the per-stage ``cached`` flag, /4 predates the run-level
-and per-stage ``memory`` sections, /5 predates the ``epoch`` section
-(incremental-run accounting), and /6 is current; all six load, and /6
-round-trips losslessly.
+Manifests are written and read by the same build; no reader is kept for
+the retired schemas /1–/5.  /6 round-trips losslessly, and any other
+schema — a retired one, an unknown one, or none — raises a
+``ValueError`` naming /6.
 """
 
 from __future__ import annotations
@@ -34,41 +31,36 @@ def _stage_dict(name: str = "classify") -> dict:
 
 
 def _manifest_dict(schema: str) -> dict:
-    data = {
+    """A run-manifest/6 document, labelled with ``schema``."""
+    stage = _stage_dict()
+    stage["cached"] = False
+    stage["memory"] = {
+        "peak_rss_bytes": 50 * 1024 * 1024,
+        "tracemalloc_delta_bytes": 1024,
+        "tracemalloc_peak_bytes": 4096,
+    }
+    return {
         "schema": schema,
         "backend": "process-pool",
         "jobs": 2,
         "chunk_size": 16,
         "wall_seconds": 1.5,
-        "stages": [_stage_dict()],
+        "stages": [stage],
         "funnel": {"n_maps": 100, "n_hijacked": 3},
-    }
-    version = int(schema.rsplit("/", 1)[1])
-    if version >= 2:
-        data["data_quality"] = {"degraded": False}
-    if version >= 3:
-        data["metrics"] = {"counters": {}, "gauges": {}, "histograms": {}}
-    if version >= 4:
-        data["stages"][0]["cached"] = False
-        data["cache"] = {
+        "data_quality": {"degraded": False},
+        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        "cache": {
             "enabled": True, "dir": "/tmp/cache",
             "hits": 3, "misses": 1, "stores": 1,
             "bytes_read": 1024, "bytes_written": 256,
-        }
-    if version >= 5:
-        data["stages"][0]["memory"] = {
-            "peak_rss_bytes": 50 * 1024 * 1024,
-            "tracemalloc_delta_bytes": 1024,
-            "tracemalloc_peak_bytes": 4096,
-        }
-        data["memory"] = {
+        },
+        "memory": {
             "peak_rss_bytes": 51 * 1024 * 1024,
             "tracemalloc": True,
             "tracemalloc_current_bytes": 2048,
             "tracemalloc_peak_bytes": 8192,
-        }
-    if version >= 6:
-        data["epoch"] = {
+        },
+        "epoch": {
             "epoch": 1,
             "label": "week-1",
             "delta": "0" * 64,
@@ -78,45 +70,15 @@ def _manifest_dict(schema: str) -> dict:
             "calendar_changed": False,
             "seeded": True,
             "reuse_disabled": None,
-        }
-    return data
+        },
+    }
 
 
-def test_schema_1_manifest_loads():
-    metrics = RunMetrics.from_dict(_manifest_dict("repro.exec.run-manifest/1"))
-    assert metrics.backend == "process-pool"
-    assert metrics.stages[0].name == "classify"
-    assert metrics.data_quality is None
-    assert metrics.metrics is None
-
-
-def test_schema_2_manifest_loads():
-    metrics = RunMetrics.from_dict(_manifest_dict("repro.exec.run-manifest/2"))
-    assert metrics.data_quality == {"degraded": False}
-    assert metrics.metrics is None
-
-
-def test_schema_3_manifest_loads():
-    metrics = RunMetrics.from_dict(_manifest_dict("repro.exec.run-manifest/3"))
-    assert metrics.metrics == {"counters": {}, "gauges": {}, "histograms": {}}
-    assert metrics.cache is None
-    assert metrics.stages[0].cached is False
-
-
-def test_schema_4_manifest_loads_without_memory():
-    metrics = RunMetrics.from_dict(_manifest_dict("repro.exec.run-manifest/4"))
-    assert metrics.cache["hits"] == 3
-    assert metrics.cache["bytes_read"] == 1024
-    assert metrics.memory is None
-    assert metrics.stages[0].memory is None
-
-
-def test_schema_5_manifest_loads_without_epoch():
-    metrics = RunMetrics.from_dict(_manifest_dict("repro.exec.run-manifest/5"))
-    assert metrics.memory["peak_rss_bytes"] == 51 * 1024 * 1024
-    assert metrics.memory["tracemalloc"] is True
-    assert metrics.stages[0].memory["tracemalloc_delta_bytes"] == 1024
-    assert metrics.epoch is None
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+def test_retired_schema_raises(version):
+    data = _manifest_dict(f"repro.exec.run-manifest/{version}")
+    with pytest.raises(ValueError, match="run-manifest/6"):
+        RunMetrics.from_dict(data)
 
 
 def test_schema_6_manifest_loads_epoch_section():
@@ -199,7 +161,7 @@ def test_schema_6_round_trip_is_lossless(tmp_path):
 
 
 def test_unknown_schema_still_raises():
-    with pytest.raises(ValueError, match="unsupported manifest schema"):
+    with pytest.raises(ValueError, match="unsupported manifest schema.*run-manifest/6"):
         RunMetrics.from_dict(_manifest_dict("repro.exec.run-manifest/99"))
 
 

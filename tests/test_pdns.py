@@ -148,3 +148,22 @@ class TestSensorNetwork:
             SensorNetwork(resolver_world, random.Random(0), coverage=1.5)
         with pytest.raises(ValueError):
             SensorNetwork(resolver_world, random.Random(0), queries_per_day=0)
+
+
+def test_public_suffix_query_keeps_segment_database_unhydrated(small_study, tmp_path):
+    """A bare-public-suffix query on a segment-backed database answers
+    from the table: the row dicts stay unbuilt, so the database still
+    pickles as its segment descriptor."""
+    import pickle
+
+    from repro.core.pipeline import PipelineInputs
+    from repro.segments import load_segment_inputs, write_segments
+    from tests.reference import LinearPdns
+
+    write_segments(PipelineInputs.from_study(small_study), tmp_path)
+    pdns = load_segment_inputs(tmp_path).pdns
+    before = len(pickle.dumps(pdns))
+    for suffix in ("co.uk", "gr"):
+        assert pdns.query_domain(suffix) == LinearPdns(pdns).query_domain(suffix)
+    assert pdns._rows is None
+    assert len(pickle.dumps(pdns)) == before

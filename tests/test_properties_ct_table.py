@@ -3,11 +3,11 @@
 Arbitrary submission histories — certificates with single, multi-base,
 duplicate-base, and wildcard SAN sets, spread across multiple logs with
 arbitrary timestamps — are indexed twice: through the
-:class:`~repro.ct.table.CtTable` bisect kernels and through
-:class:`~repro.ct.crtsh.CrtShService`'s original per-base list index
-(``use_table = False``).  Every search the inspection stage issues must
-answer identically, including ordering and the legacy per-SAN bucket
-duplication.  The suite also pins the publication-delay/horizon filter,
+:class:`~repro.ct.table.CtTable` bisect kernels behind
+:class:`~repro.ct.crtsh.CrtShService` and through the per-base list
+index of :class:`tests.reference.BaseIndexCrtSh`.  Every search the
+inspection stage issues must answer identically, including ordering
+and the per-SAN bucket duplication.  The suite also pins the publication-delay/horizon filter,
 the io round-trip, the ``select()`` re-interning invariant, and the
 ``(fingerprint, logged ordinal)`` wire references' stability across log
 insertion orders.
@@ -24,6 +24,7 @@ from repro.ct.table import CtTable
 from repro.io.intel import load_ct, save_ct
 from repro.tls.certificate import Certificate
 from repro.tls.revocation import RevocationRegistry
+from tests.reference import BaseIndexCrtSh
 
 BASE = date(2019, 1, 1)
 
@@ -78,11 +79,10 @@ def _logs_from(history) -> list[CTLog]:
     return logs
 
 
-def _services(logs) -> tuple[CrtShService, CrtShService]:
-    columnar = CrtShService(logs, RevocationRegistry())
-    legacy = CrtShService(logs, RevocationRegistry())
-    legacy.use_table = False
-    return columnar, legacy
+def _services(logs) -> tuple[CrtShService, BaseIndexCrtSh]:
+    return CrtShService(logs, RevocationRegistry()), BaseIndexCrtSh(
+        logs, RevocationRegistry()
+    )
 
 
 def _keyed(entries):
@@ -141,9 +141,14 @@ class TestSearchEquivalence:
         """Delay + horizon filtering hides the same entries either way."""
         logs = _logs_from(history)
         horizon = BASE + timedelta(days=60)
-        columnar, legacy = _services(logs)
+        columnar = CrtShService(logs, RevocationRegistry())
         delayed_columnar = columnar.with_publication_delay(delay, horizon)
-        delayed_legacy = legacy.with_publication_delay(delay, horizon)
+        delayed_legacy = BaseIndexCrtSh(
+            logs,
+            RevocationRegistry(),
+            publication_delay_days=delay,
+            publication_horizon=horizon,
+        )
         assert delayed_columnar.hidden_entries == delayed_legacy.hidden_entries
         for query in QUERIES:
             assert _keyed(delayed_columnar.search(query)) == _keyed(

@@ -6,7 +6,7 @@ unparsable owner name), all record types, overlapping date spans — are
 aggregated into a :class:`PassiveDNSDatabase`, and every query the
 inspection stage makes is answered twice: through the
 :class:`~repro.pdns.table.PdnsTable` CSR kernels and through the
-original linear reference implementations.  The answers must be
+linear scans of :class:`tests.reference.LinearPdns`.  The answers must be
 identical, including ordering.  The suite also pins the io round-trip
 and the ``select()`` re-interning invariant (a degraded view's ids equal
 a fresh build's) that make table row ids safe cache currency.
@@ -22,6 +22,7 @@ from repro.io.datasets import load_pdns, save_pdns
 from repro.net.timeline import DateInterval
 from repro.pdns.database import PassiveDNSDatabase
 from repro.pdns.table import PdnsTable
+from tests.reference import LinearPdns
 
 BASE = date(2019, 1, 1)
 
@@ -95,17 +96,16 @@ class TestQueryEquivalence:
     @given(_history, _window)
     def test_query_name_matches_linear(self, history, window):
         """Same rows either way, and the table's order satisfies the
-        documented ``(first_seen, rdata)`` sort.  The linear reference
-        leaves cross-rtype ties in set-iteration order, so tie order is
-        compared as a multiset, not positionally."""
+        documented ``(first_seen, rdata)`` sort.  That key leaves
+        cross-rtype ties unordered, so tie order is compared as a
+        multiset, not positionally."""
         db = _database_from(history)
+        linear = LinearPdns(db)
         interval = _interval(window)
         for rrname in RRNAMES:
             for rtype in (None, *RTYPES):
                 via_table = _keyed(db.query_name(rrname, rtype, interval))
-                via_linear = _keyed(
-                    db._query_name_linear(rrname.lower(), rtype, interval)
-                )
+                via_linear = _keyed(linear.query_name(rrname, rtype, interval))
                 assert sorted(map(repr, via_table)) == sorted(map(repr, via_linear))
                 sort_keys = [(first, rdata) for _, _, rdata, first, _, _ in via_table]
                 assert sort_keys == sorted(sort_keys)
@@ -117,17 +117,18 @@ class TestQueryEquivalence:
         the linear suffix scan, for subdomain, apex, multi-label-suffix,
         and bare-public-suffix queries alike."""
         db = _database_from(history)
+        linear = LinearPdns(db)
         interval = _interval(window)
         for query in (
             "www.alpha.com",
             "alpha.com",
             "login.beta.co.uk",
             "beta.co.uk",
-            "co.uk",          # bare public suffix: linear fallback
+            "co.uk",          # bare public suffix: owner-name scan
             "missing.example.org",
         ):
             via_table = _keyed(db.query_domain(query, interval))
-            via_linear = _keyed(db._query_domain_linear(_base_of(query), interval))
+            via_linear = _keyed(linear.query_domain(query, interval))
             assert sorted(map(repr, via_table)) == sorted(map(repr, via_linear))
             sort_keys = [
                 (rrname, first, rdata)
@@ -138,22 +139,16 @@ class TestQueryEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(_history)
     def test_histories_toggle_identically(self, history):
-        """a_history / ns_history answer identically with the table off."""
+        """a_history / ns_history answer identically to the linear scans,
+        positionally (one rrname and rtype never tie)."""
         db = _database_from(history)
-        legacy = _database_from(history)
-        legacy.use_table = False
+        legacy = LinearPdns(_database_from(history))
         for rrname in RRNAMES:
             assert _keyed(db.a_history(rrname)) == _keyed(legacy.a_history(rrname))
             if rrname != "bad..name":  # ns_history resolves a registered domain
                 assert _keyed(db.ns_history(rrname)) == _keyed(
                     legacy.ns_history(rrname)
                 )
-
-
-def _base_of(query: str) -> str:
-    from repro.net.names import registered_domain
-
-    return registered_domain(query)
 
 
 class TestRowEquivalence:
@@ -197,7 +192,7 @@ class TestRowEquivalence:
             r["rrname"] == "late.alpha.com" for r in db.table.row_dicts()
         )
         assert _keyed(db.query_name("late.alpha.com")) == _keyed(
-            db._query_name_linear("late.alpha.com", None, None)
+            LinearPdns(db).query_name("late.alpha.com")
         )
 
 
