@@ -291,6 +291,19 @@ class TestManifestSchema:
         loaded = RunMetrics.read(path)
         assert loaded.data_quality == metrics.data_quality
 
+    def test_v1_manifest_rejected(self):
+        data = {
+            "schema": "repro.exec.run-manifest/1",
+            "backend": "serial",
+            "jobs": 1,
+            "chunk_size": None,
+            "wall_seconds": 0.5,
+            "stages": [],
+            "funnel": {},
+        }
+        with pytest.raises(ValueError, match="run-manifest/6"):
+            RunMetrics.from_dict(data)
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):
             RunMetrics.from_dict({"schema": "repro.exec.run-manifest/99"})
