@@ -15,7 +15,7 @@ section of BENCH_perf.json (:func:`repro.obs.perf.measure_epochs`):
 
 Two hard CI floors ride along: the incremental report must be
 byte-identical to the full rerun's, and the speedup must clear 10× at
-a 1% delta (measured ~20× at 10⁵ domains).  ``REPRO_BENCH_EPOCH_DOMAINS``
+a 1% delta (measured ~12× at 10⁵ domains).  ``REPRO_BENCH_EPOCH_DOMAINS``
 scales the population (default 100 000).
 """
 

@@ -28,7 +28,6 @@ from repro.cache.fingerprint import (
     derive_run_key,
     extended_block_digests,
     inputs_digest,
-    jsonable,
     plan_digest,
     scan_block_digests,
     stage_fingerprint,
@@ -52,7 +51,6 @@ __all__ = [
     "derive_run_key",
     "extended_block_digests",
     "inputs_digest",
-    "jsonable",
     "plan_digest",
     "scan_block_digests",
     "stage_fingerprint",

@@ -16,15 +16,23 @@ the datasets through their canonical row forms (the same shapes
 ``repro.io`` serializes), so a dataset loaded from disk and the dataset
 that was saved fingerprint identically, while dropping a single scan
 record — or degrading anything via a fault plan — changes the key.
+Scan rows are encoded from the table's interned columns
+(:func:`walk_block_digests`), every other value in one pass
+(:func:`canonical_encode`); both write the bytes ``canonical_json``
+writes over the row dicts and converted values, which
+``tests/reference.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, is_dataclass
-from datetime import date, datetime
+from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from itertools import chain
+from json.encoder import INFINITY as _INF
+from json.encoder import encode_basestring as _encode_str
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.io.golden import canonical_json
 
@@ -42,40 +50,85 @@ _FINGERPRINT_BYTES = 24
 _PART_BYTES = 16
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert a value into a canonical JSON-safe form.
+def _encode_float(value: float) -> str:
+    # json.dumps' float form: repr, with its non-finite spellings.
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
 
-    Dataclasses become field dicts, enums their names, dates ISO
-    strings; sets and frozensets become sorted lists; dicts become
-    sorted ``[key, value]`` pair lists (keys converted too), which is
-    what makes digests independent of insertion order even for
-    non-string keys.
+
+def canonical_encode(value: Any) -> str:
+    """The canonical JSON text of any fingerprintable value, in one pass.
+
+    Dataclasses encode as their field dicts, enums as their names, dates
+    and datetimes as ISO strings; sets and frozensets as lists sorted by
+    their elements' encodings; dicts as ``{"__pairs__": [[key, value],
+    ...]}`` sorted the same way (keys encoded too), which keeps digests
+    independent of insertion order even for non-string keys.  Lists and
+    tuples encode as lists; ``None``, bools, ints, floats and strings as
+    ``json.dumps`` spells them.  The text is byte-identical to
+    ``canonical_json`` over that converted form, built without the
+    intermediate structures or a second walk to sort them.
     """
+    kind = type(value)
+    # Exact-type fast paths first; subclasses (IntEnum, namedtuples, ...)
+    # take the ordered checks below.
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        return _encode_float(value)
+    if kind is list or kind is tuple:
+        return "[" + ",".join(map(canonical_encode, value)) + "]"
+    if kind is dict:
+        return _encode_pairs(value)
     if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+        encoded = sorted(
+            (f.name, canonical_encode(getattr(value, f.name))) for f in fields(value)
+        )
+        return "{" + ",".join(_encode_str(k) + ":" + v for k, v in encoded) + "}"
     if isinstance(value, Enum):
-        return value.name
-    if isinstance(value, datetime):
-        return value.isoformat()
-    if isinstance(value, date):
-        return value.isoformat()
+        return _encode_str(value.name)
+    if isinstance(value, date):  # datetimes too
+        return _encode_str(value.isoformat())
     if isinstance(value, (set, frozenset)):
-        converted = [jsonable(v) for v in value]
-        return sorted(converted, key=canonical_json)
+        return "[" + ",".join(sorted(map(canonical_encode, value))) + "]"
     if isinstance(value, dict):
-        pairs = [[jsonable(k), jsonable(v)] for k, v in value.items()]
-        return {"__pairs__": sorted(pairs, key=canonical_json)}
+        return _encode_pairs(value)
     if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+        return "[" + ",".join(map(canonical_encode, value)) + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _encode_float(value)
     raise TypeError(f"cannot fingerprint value of type {type(value).__name__}")
 
 
+def _encode_pairs(mapping: dict) -> str:
+    pairs = sorted(
+        "[" + canonical_encode(k) + "," + canonical_encode(v) + "]"
+        for k, v in mapping.items()
+    )
+    return '{"__pairs__":[' + ",".join(pairs) + "]}"
+
+
 def value_digest(value: Any) -> str:
-    """Hex digest of an arbitrary value via its canonical form."""
+    """Hex digest of an arbitrary value via its canonical encoding."""
     return hashlib.blake2b(
-        canonical_json(jsonable(value)).encode("utf-8"), digest_size=_PART_BYTES
+        canonical_encode(value).encode("utf-8"), digest_size=_PART_BYTES
     ).hexdigest()
 
 
@@ -98,32 +151,6 @@ class _Hasher:
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
-
-
-def _scan_rows(scan) -> Iterable[dict[str, Any]]:
-    # Record order is part of the dataset's content (downstream lists
-    # preserve it), so rows are fed in dataset order, not sorted.
-    table = getattr(scan, "table", None)
-    if table is not None:
-        # Columnar fast path: walk the typed arrays directly — same row
-        # shape, no record objects materialized.
-        yield from table.row_dicts()
-        return
-    for record in scan.records():
-        yield {
-            "d": record.scan_date.isoformat(),
-            "ip": record.ip,
-            "ports": list(record.ports),
-            "asn": record.asn,
-            "cc": record.country,
-            "trusted": record.trusted,
-            "sensitive": record.sensitive,
-            "names": list(record.names),
-            "base": list(record.base_domains),
-            # The certificate fingerprint is itself a content hash over
-            # every identity field, so it stands in for the full cert.
-            "cert": record.certificate.fingerprint,
-        }
 
 
 def _pdns_rows(pdns) -> list[dict[str, Any]]:
@@ -151,53 +178,103 @@ def _pdns_rows(pdns) -> list[dict[str, Any]]:
 #: digest is reused verbatim) — O(delta) instead of O(dataset).
 SCAN_BLOCK_ROWS = 4096
 
+#: Rows encoded into one buffer per hasher update.  An eighth of a block
+#: keeps the transient buffer near 150 KB, which matters on the epoch
+#: path: its tail walk is at most a block plus the delta.
+_ENCODE_ROWS = 512
 
-def _block_digests(rows: Iterable[dict[str, Any]]) -> Iterable[str]:
-    """Digest of each ``SCAN_BLOCK_ROWS``-row block of the row stream.
+
+class _Fragments(dict):
+    """Lazy ``key -> encoded bytes`` memo: each key is encoded on first use."""
+
+    __slots__ = ("_encode",)
+
+    def __init__(self, encode) -> None:
+        super().__init__()
+        self._encode = encode
+
+    def __missing__(self, key):
+        fragment = self[key] = self._encode(key)
+        return fragment
+
+
+def walk_block_digests(table, start: int = 0) -> Iterator[str]:
+    """Digest each ``SCAN_BLOCK_ROWS``-row block of ``table`` from ``start``.
 
     Blocks cover absolute row positions ``[k*B, (k+1)*B)`` in dataset
-    order; each block digest folds its rows' canonical encodings, so the
-    digest sequence is a pure function of the row stream (and of nothing
-    else — two tables with identical rows share every block digest).
+    order (``start`` is 0 or a block boundary).  A block's digest hashes
+    its rows' canonical JSON objects — keys ``asn, base, cc, cert, d, ip,
+    names, ports, sensitive, trusted`` in sorted order, a newline after
+    each — so the digest sequence is a pure function of the row stream.
+
+    The encoding works on the interned columns: each pool entry (an IP,
+    an ASN, a port/name/base set, a certificate fingerprint, a country)
+    and each scan date is encoded once, on first use, into a fragment
+    that already carries its neighbouring key; a row is nine fragment
+    lookups, and every ``_ENCODE_ROWS`` rows are hashed as one joined
+    buffer.  Only the entries the walked rows reference are encoded, so a
+    tail walk costs O(tail), and a segment-backed table decodes only
+    those entries from its mapped pools.  Never reads the digest memo.
     """
-    hasher = None
-    count = 0
-    for row in rows:
-        if hasher is None:
-            hasher = hashlib.blake2b(digest_size=_PART_BYTES)
-        hasher.update(canonical_json(row).encode("utf-8"))
-        hasher.update(b"\n")
-        count += 1
-        if count == SCAN_BLOCK_ROWS:
-            yield hasher.hexdigest()
-            hasher = None
-            count = 0
-    if hasher is not None:
+    from repro.scan.table import _SENSITIVE, _TRUSTED
+
+    def fragments(pool, before: str, after: str) -> _Fragments:
+        return _Fragments(
+            lambda i: (before + canonical_encode(pool[i]) + after).encode("utf-8")
+        )
+
+    columns = (
+        (table.asn_id, fragments(table.asns, '{"asn":', ',"base":')),
+        (table.bases_id, fragments(table.base_sets, "", ',"cc":')),
+        (table.country_id, fragments(table.countries, "", ',"cert":')),
+        (table.cert_id, fragments(table.cert_fps, "", ',"d":')),
+        (
+            table.date_ord,
+            _Fragments(
+                lambda o: ('"' + date.fromordinal(o).isoformat() + '","ip":').encode()
+            ),
+        ),
+        (table.ip_id, fragments(table.ips, "", ',"names":')),
+        (table.names_id, fragments(table.name_sets, "", ',"ports":')),
+        (table.ports_id, fragments(table.port_sets, "", ',"sensitive":')),
+        (
+            table.flags,
+            _Fragments(
+                lambda f: (
+                    ("true" if f & _SENSITIVE else "false")
+                    + ',"trusted":'
+                    + ("true" if f & _TRUSTED else "false")
+                    + "}\n"
+                ).encode()
+            ),
+        ),
+    )
+    n_rows = len(table)
+    for block_lo in range(start, n_rows, SCAN_BLOCK_ROWS):
+        block_hi = min(block_lo + SCAN_BLOCK_ROWS, n_rows)
+        hasher = hashlib.blake2b(digest_size=_PART_BYTES)
+        for lo in range(block_lo, block_hi, _ENCODE_ROWS):
+            hi = min(lo + _ENCODE_ROWS, block_hi)
+            rows = zip(*[map(memo.__getitem__, col[lo:hi]) for col, memo in columns])
+            hasher.update(b"".join(chain.from_iterable(rows)))
         yield hasher.hexdigest()
 
 
-def scan_block_digests(scan) -> tuple[str, ...]:
-    """The scan dataset's per-block row digests, memoized on the table.
+def scan_block_digests(table) -> tuple[str, ...]:
+    """A :class:`~repro.scan.table.ScanTable`'s per-block row digests,
+    memoized on the table.
 
-    The memo rides the backing table (datasets are never mutated in
-    place), which lets three producers share one representation: a cold
-    walk here, the segment loader seeding digests persisted in the
-    segment header, and the epoch overlay extending a base table's
-    digests with only the appended rows.
+    The memo rides the table (tables are never mutated in place), which
+    lets three producers share one representation: a cold walk here,
+    the segment loader seeding digests persisted in the segment header,
+    and the epoch overlay extending a base table's digests with only the
+    appended rows.
     """
-    table = getattr(scan, "table", None)
-    if table is None and hasattr(scan, "row_dicts"):
-        table = scan  # a bare ScanTable digests like its dataset
-    owner = scan if table is None else table
-    memo = getattr(owner, "_repro_block_digests", None)
+    memo = getattr(table, "_repro_block_digests", None)
     if memo is not None and memo[0] == SCAN_BLOCK_ROWS:
         return memo[1]
-    rows = table.row_dicts() if table is not None else _scan_rows(scan)
-    digests = tuple(_block_digests(rows))
-    try:
-        object.__setattr__(owner, "_repro_block_digests", (SCAN_BLOCK_ROWS, digests))
-    except (AttributeError, TypeError):
-        pass
+    digests = tuple(walk_block_digests(table))
+    table._repro_block_digests = (SCAN_BLOCK_ROWS, digests)
     return digests
 
 
@@ -213,7 +290,7 @@ def extended_block_digests(
     (the property suite holds it to that).
     """
     full = n_base_rows // SCAN_BLOCK_ROWS
-    tail = tuple(_block_digests(table.row_dicts(start=full * SCAN_BLOCK_ROWS)))
+    tail = tuple(walk_block_digests(table, start=full * SCAN_BLOCK_ROWS))
     return tuple(base_digests[:full]) + tail
 
 
@@ -258,7 +335,7 @@ def _scan_digest(scan) -> str:
             "scan.blocks",
             {
                 "block_rows": SCAN_BLOCK_ROWS,
-                "digests": list(scan_block_digests(scan)),
+                "digests": list(scan_block_digests(scan.table)),
             },
         )
         return hasher.hexdigest()

@@ -25,8 +25,9 @@
     repro-hunt segments {write,inspect,verify}
         Lay a study (or an ``--scale N`` synthetic world) out as a
         checksummed ``repro-segment/1`` bundle, print the verified
-        header summaries, or checksum a bundle (nonzero exit on
-        corruption).  See docs/performance.md.
+        header summaries, or checksum a bundle and re-check its scan
+        block digests (nonzero exit on corruption or a stale header).
+        See docs/performance.md.
 
     repro-hunt epoch {apply,status,delta}
         Grow a segment bundle by epochs: ``apply DIR --delta FILE``
@@ -704,7 +705,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_segments(args: argparse.Namespace) -> int:
     import json
 
-    from repro.segments import SegmentError, segment_paths, verify_segment
+    from repro.segments import (
+        SegmentError,
+        scan_digests_match,
+        segment_paths,
+        verify_segment,
+    )
 
     if args.segments_command == "write":
         directory = Path(args.out)
@@ -738,7 +744,8 @@ def _cmd_segments(args: argparse.Namespace) -> int:
 
     # inspect / verify: checksum every segment of the bundle; a typed
     # SegmentError (truncation, bit flip, wrong table) fails the command
-    # instead of ever surfacing garbage rows.
+    # instead of ever surfacing garbage rows.  verify also re-walks the
+    # scan rows against the block digests the header carries.
     failures = 0
     summaries = {}
     for name, path in sorted(segment_paths(args.dir).items()):
@@ -753,6 +760,10 @@ def _cmd_segments(args: argparse.Namespace) -> int:
             failures += 1
             continue
         if args.segments_command == "verify":
+            if name == "scan" and not scan_digests_match(path):
+                print(f"STALE {path}", file=sys.stderr)
+                failures += 1
+                continue
             print(f"ok {path}")
     if args.segments_command == "inspect" and summaries:
         print(json.dumps(summaries, indent=2, sort_keys=True))
@@ -1319,7 +1330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     segments_verify = segments_sub.add_parser(
         "verify", parents=[logging_flags],
-        help="checksum every segment of a bundle (nonzero exit on corruption)",
+        help="checksum every segment of a bundle and re-check the scan "
+        "header's block digests (nonzero exit on corruption or a stale "
+        "header)",
     )
     segments_verify.add_argument("dir", help="segment bundle directory")
     segments_verify.set_defaults(func=_cmd_segments)

@@ -134,18 +134,15 @@ def compute_dirty_set(inputs: PipelineInputs, delta: EpochDelta) -> DirtySet:
     }
     transitive: set[str] = set()
     if hot_ip_ids or hot_asn_ids or hot_cert_ids:
-        ip_id, asn_id, cert_id = table.ip_id, table.asn_id, table.cert_id
-        bases_id, base_sets = table.bases_id, table.base_sets
-        touched_bases: set[int] = set()
-        for row in range(len(table)):
-            if (
-                ip_id[row] in hot_ip_ids
-                or asn_id[row] in hot_asn_ids
-                or cert_id[row] in hot_cert_ids
-            ):
-                touched_bases.add(bases_id[row])
+        touched_bases = {
+            bases
+            for ip, asn, cert, bases in zip(
+                table.ip_id, table.asn_id, table.cert_id, table.bases_id
+            )
+            if ip in hot_ip_ids or asn in hot_asn_ids or cert in hot_cert_ids
+        }
         for ident in touched_bases:
-            transitive.update(base_sets[ident])
+            transitive.update(table.base_sets[ident])
 
     # -- ring 3b: pDNS rdata overlap ------------------------------------------
     delta_rdatas = {rdata for _n, _t, rdata, _d in delta.pdns_observations}

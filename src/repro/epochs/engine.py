@@ -42,6 +42,8 @@ backend, warm or cold cache.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
 from typing import TYPE_CHECKING, Any
 
 from repro.core.pipeline import (
@@ -262,32 +264,49 @@ def _seed_deployment(
     spliced: list[tuple[str, Any]] = []
     reused = 0
     recomputed = 0
-    if len(merged_domains) == n_base:
-        # No new domains this epoch: merged domains are a sorted
-        # superset of base domains, so equal counts mean identical
-        # ordinals.  Reuse becomes one pass over the base products that
-        # only touches domain *names* for the dirty set and the
-        # (funnel-sized) non-empty encodings — no per-domain walk.
-        dirty_ordinals: dict[int, str] = {}
-        for name in scan_direct:
-            ordinal = degraded_merged.scan.table.domain_index(name)
-            if ordinal is not None:
-                dirty_ordinals[ordinal] = name
-        for ordinal, encoded in enumerate(base_encoded):
-            name = dirty_ordinals.get(ordinal)
-            if name is None and encoded is not _MISSING:
-                reused += 1
-                if encoded:
-                    spliced.append((merged_domains[ordinal], encoded))
-                continue
-            if name is None:
-                name = merged_domains[ordinal]
-            encoded = encode_domain_maps(
-                degraded_merged.scan, name, periods, max_gap
-            )
+    base_index = degraded_base.scan.table.domain_index
+    merged_index = degraded_merged.scan.table.domain_index
+    # Merged domains are a sorted superset of base domains, and a domain
+    # new this epoch has delta rows, so it is in ``scan_direct``.
+    new_names = sorted(
+        name
+        for name in scan_direct
+        if base_index(name) is None and merged_index(name) is not None
+    )
+    if len(merged_domains) == n_base + len(new_names):
+        # Reuse visits only the ordinals that can differ from "reused,
+        # empty": the dirty ones and the (funnel-sized) non-empty or
+        # missing encodings — no per-domain walk.  Each new domain is
+        # encoded at its sorted slot among the base's.
+        def recompute(name: str) -> None:
+            nonlocal recomputed
+            encoded = encode_domain_maps(degraded_merged.scan, name, periods, max_gap)
             recomputed += 1
             if encoded:
                 spliced.append((name, encoded))
+
+        dirty_ordinals: dict[int, str] = {}
+        for name in scan_direct:
+            ordinal = base_index(name)
+            if ordinal is not None:
+                dirty_ordinals[ordinal] = name
+        visit = sorted(set(compress(range(n_base), base_encoded)).union(dirty_ordinals))
+        slots = [bisect_left(base_domains, name) for name in new_names] + [n_base + 1]
+        k = 0
+        reused = n_base
+        for ordinal in visit:
+            while slots[k] <= ordinal:
+                recompute(new_names[k])
+                k += 1
+            encoded = base_encoded[ordinal]
+            name = dirty_ordinals.get(ordinal)
+            if name is None and encoded is not _MISSING:
+                spliced.append((base_domains[ordinal], encoded))
+                continue
+            reused -= 1
+            recompute(base_domains[ordinal] if name is None else name)
+        for name in new_names[k:]:
+            recompute(name)
     else:
         j = 0
         for name in merged_domains:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from datetime import date
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.net.ipv4 import ip_to_int
 from repro.scan.annotate import AnnotatedScanRecord
@@ -404,31 +404,6 @@ class ScanTable:
         derived._rec_cache = [self._rec_cache[row] for row in rows]
         derived._build_index()
         return derived
-
-    # -- canonical row walk ----------------------------------------------------
-
-    def row_dicts(self, start: int = 0) -> Iterator[dict[str, Any]]:
-        """Canonical per-row dicts in dataset order (digest/export walk).
-
-        Matches the shape :mod:`repro.cache.fingerprint` feeds its
-        hasher, built straight from the columns — no record objects are
-        materialized.  ``start`` begins the walk at that absolute row,
-        which is how the epoch overlay re-digests only the rows a delta
-        appended instead of the whole dataset.
-        """
-        for row in range(start, len(self)):
-            yield {
-                "d": date.fromordinal(self.date_ord[row]).isoformat(),
-                "ip": self.ips[self.ip_id[row]],
-                "ports": list(self.port_sets[self.ports_id[row]]),
-                "asn": self.asns[self.asn_id[row]],
-                "cc": self.countries[self.country_id[row]],
-                "trusted": bool(self.flags[row] & _TRUSTED),
-                "sensitive": bool(self.flags[row] & _SENSITIVE),
-                "names": list(self.name_sets[self.names_id[row]]),
-                "base": list(self.base_sets[self.bases_id[row]]),
-                "cert": self.cert_fps[self.cert_id[row]],
-            }
 
     def column_bytes(self) -> int:
         """Approximate resident bytes of the typed-array columns."""

@@ -25,6 +25,7 @@ from repro.segments.tables import (
     open_ct_table,
     open_pdns_table,
     open_scan_table,
+    scan_digests_match,
     write_ct_table,
     write_pdns_table,
     write_scan_table,
@@ -40,6 +41,7 @@ __all__ = [
     "open_ct_table",
     "open_pdns_table",
     "open_scan_table",
+    "scan_digests_match",
     "segment_paths",
     "verify_segment",
     "write_ct_table",

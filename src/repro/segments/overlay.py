@@ -29,6 +29,7 @@ products sound rather than heuristic.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from repro.scan.table import ScanTable, _TableBuilder
@@ -58,7 +59,7 @@ def _copy_array(value) -> array:
 def _seed(interner, values: list) -> None:
     """Point an interner at an existing pool so new values append to it."""
     interner.values = values
-    interner._ids = {value: ident for ident, value in enumerate(values)}
+    interner._ids = dict(zip(values, range(len(values))))
 
 
 def extend_scan_table(base: ScanTable, rows: Iterable[Sequence]) -> ScanTable:
@@ -148,9 +149,15 @@ def _splice_index(derived: ScanTable, base: ScanTable, n_base: int) -> None:
                 bucket.append(row)
 
     base_domains = base.domains
-    new_only = sorted(
-        name for name in new_buckets if base.domain_index(name) is None
-    )
+    # Clean runs break only at the base domains the delta touches and at
+    # the sorted slot of each new-only domain, so the walk visits those
+    # O(delta) positions and copies everything between them wholesale.
+    touched_at = {
+        index: name
+        for name in new_buckets
+        if (index := base.domain_index(name)) is not None
+    }
+    new_only = sorted(set(new_buckets).difference(touched_at.values()))
     base_off = base.csr_off
     base_dd_off = base.dom_dates_off
     base_csr_rows = base.csr_rows
@@ -189,50 +196,33 @@ def _splice_index(derived: ScanTable, base: ScanTable, n_base: int) -> None:
         dom_dates.frombytes(
             bytes_of(base_dom_dates, base_dd_off[lo], base_dd_off[hi])
         )
-        for i in range(lo, hi):
-            csr_off.append(base_off[i + 1] + row_shift)
-            dom_dates_off.append(base_dd_off[i + 1] + date_shift)
-            domains.append(base_domains[i])
+        csr_off.extend(map(row_shift.__add__, base_off[lo + 1 : hi + 1]))
+        dom_dates_off.extend(map(date_shift.__add__, base_dd_off[lo + 1 : hi + 1]))
+        domains.extend(base_domains[lo:hi])
 
     def bytes_of(column, lo: int, hi: int) -> bytes:
         view = column[lo:hi]
         return view.tobytes()
 
-    n_base_domains = len(base_domains)
+    slots = [bisect_left(base_domains, name) for name in new_only]
     next_new = 0
     i = 0
-    while i < n_base_domains:
-        name = base_domains[i]
+    for stop in sorted(set(touched_at).union(slots)):
+        if i < stop:
+            copy_clean(i, stop)
+            i = stop
         # New-only domains sorting before this base domain slot in first.
-        while next_new < len(new_only) and new_only[next_new] < name:
+        while next_new < len(new_only) and slots[next_new] == stop:
             emit_merged(new_only[next_new], list(new_buckets[new_only[next_new]]))
             next_new += 1
-        touched = new_buckets.get(name)
-        if touched is None:
-            # Extend the clean run as far as it goes before copying.
-            j = i + 1
-            stop = (
-                new_only[next_new] if next_new < len(new_only) else None
-            )
-            while j < n_base_domains:
-                candidate = base_domains[j]
-                if stop is not None and candidate > stop:
-                    break
-                if candidate in new_buckets:
-                    break
-                j += 1
-            copy_clean(i, j)
-            i = j
-        else:
-            merged = list(
-                base_csr_rows[base_off[i]:base_off[i + 1]]
-            )
-            merged.extend(touched)
+        name = touched_at.get(stop)
+        if name is not None:
+            merged = list(base_csr_rows[base_off[stop] : base_off[stop + 1]])
+            merged.extend(new_buckets[name])
             emit_merged(name, merged)
-            i += 1
-    while next_new < len(new_only):
-        emit_merged(new_only[next_new], list(new_buckets[new_only[next_new]]))
-        next_new += 1
+            i = stop + 1
+    if i < len(base_domains):
+        copy_clean(i, len(base_domains))
 
     from repro.segments.pools import SortedPoolIndex
 

@@ -193,6 +193,23 @@ def open_scan_table(path: str | Path) -> SegmentScanTable:
     return SegmentScanTable(Segment.open(path))
 
 
+def scan_digests_match(path: str | Path) -> bool:
+    """Whether a scan segment's header block digests describe its rows.
+
+    Opening a bundle seeds the cache's scan content digest from the
+    header, so a header that disagrees with the rows would address the
+    cache entries of other content.  This re-walks the mapped rows
+    (never the seeded memo) and compares.
+    """
+    from repro.cache.fingerprint import SCAN_BLOCK_ROWS, walk_block_digests
+
+    table = open_scan_table(path)
+    meta = table.segment.meta
+    return meta.get("block_rows") == SCAN_BLOCK_ROWS and meta.get(
+        "block_digests"
+    ) == list(walk_block_digests(table))
+
+
 # -- pdns ----------------------------------------------------------------------
 
 
@@ -295,6 +312,7 @@ __all__ = [
     "open_ct_table",
     "open_pdns_table",
     "open_scan_table",
+    "scan_digests_match",
     "write_ct_table",
     "write_pdns_table",
     "write_scan_table",

@@ -10,7 +10,14 @@ differential suites can require each kernel to match them:
   index over the CT logs, behind the same publication delay and
   horizon filter;
 * :func:`victim_infra` — one domain's stable victim infrastructure,
-  walked out of the whole classification table.
+  walked out of the whole classification table;
+* :func:`jsonable` + ``canonical_json`` — the two-pass canonical form
+  that :func:`repro.cache.fingerprint.canonical_encode` writes in one
+  pass (:func:`value_digest` digests it);
+* :func:`scan_row_dicts` + :func:`block_digests` — the scan content
+  digest as one ``json.dumps`` per row dict, which
+  :func:`repro.cache.fingerprint.walk_block_digests` assembles from
+  pre-encoded pool entries.
 
 The two stores expose the query surface :class:`repro.core.inspection.
 Inspector` uses, so an Inspector can run over them unchanged.
@@ -18,15 +25,21 @@ Inspector` uses, so an Inspector can run over them unchanged.
 
 from __future__ import annotations
 
-from datetime import date, timedelta
+import hashlib
+from dataclasses import fields, is_dataclass
+from datetime import date, datetime, timedelta
+from enum import Enum
+from typing import Any, Iterable, Iterator
 
 from repro.core.patterns import Classification
 from repro.ct.crtsh import CrtShEntry, CrtShService
 from repro.ct.log import CTLog
 from repro.dns.records import RRType
+from repro.io.golden import canonical_json
 from repro.net.names import registered_domain
 from repro.net.timeline import DateInterval
 from repro.pdns.database import PassiveDNSDatabase, PdnsRecord
+from repro.scan.table import ScanTable
 from repro.tls.certificate import Certificate
 from repro.tls.matching import san_matches
 from repro.tls.revocation import RevocationRegistry, RevocationStatus
@@ -186,3 +199,75 @@ def victim_infra(
                 if cc not in ccs:
                     ccs.append(cc)
     return tuple(asns), tuple(ccs)
+
+
+def jsonable(value: Any) -> Any:
+    """Recursively convert a value into a canonical JSON-safe form.
+
+    Dataclasses become field dicts, enums their names, dates ISO
+    strings; sets and frozensets become sorted lists; dicts become
+    sorted ``[key, value]`` pair lists (keys converted too).
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, datetime):
+        return value.isoformat()
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, (set, frozenset)):
+        converted = [jsonable(v) for v in value]
+        return sorted(converted, key=canonical_json)
+    if isinstance(value, dict):
+        pairs = [[jsonable(k), jsonable(v)] for k, v in value.items()]
+        return {"__pairs__": sorted(pairs, key=canonical_json)}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"cannot fingerprint value of type {type(value).__name__}")
+
+
+def value_digest(value: Any) -> str:
+    """``repro.cache.fingerprint.value_digest`` as convert-then-encode."""
+    return hashlib.blake2b(
+        canonical_json(jsonable(value)).encode("utf-8"), digest_size=16
+    ).hexdigest()
+
+
+def scan_row_dicts(table: ScanTable, start: int = 0) -> Iterator[dict[str, Any]]:
+    """The table's canonical per-row dicts in dataset order, from ``start``."""
+    for row in range(start, len(table)):
+        yield {
+            "d": date.fromordinal(table.date_ord[row]).isoformat(),
+            "ip": table.ips[table.ip_id[row]],
+            "ports": list(table.port_sets[table.ports_id[row]]),
+            "asn": table.asns[table.asn_id[row]],
+            "cc": table.countries[table.country_id[row]],
+            "trusted": table.trusted(row),
+            "sensitive": table.sensitive(row),
+            "names": list(table.name_sets[table.names_id[row]]),
+            "base": list(table.base_sets[table.bases_id[row]]),
+            "cert": table.cert_fps[table.cert_id[row]],
+        }
+
+
+def block_digests(rows: Iterable[dict[str, Any]], block_rows: int) -> list[str]:
+    """Digest of each ``block_rows``-row block, one ``json.dumps`` per row."""
+    digests = []
+    hasher = None
+    count = 0
+    for row in rows:
+        if hasher is None:
+            hasher = hashlib.blake2b(digest_size=16)
+        hasher.update(canonical_json(row).encode("utf-8"))
+        hasher.update(b"\n")
+        count += 1
+        if count == block_rows:
+            digests.append(hasher.hexdigest())
+            hasher = None
+            count = 0
+    if hasher is not None:
+        digests.append(hasher.hexdigest())
+    return digests

@@ -269,6 +269,35 @@ class TestExplainJson:
         assert "funnel_stages" not in perf
 
 
+class TestSegmentsVerify:
+    def test_stale_header_digests_fail_verify(self, small_study, tmp_path, capsys):
+        """A scan header whose block digests disagree with its rows is
+        reported STALE even when the file's checksum is intact."""
+        from hashlib import blake2b
+
+        from repro.core.pipeline import PipelineInputs
+        from repro.segments import open_scan_table, verify_segment, write_segments
+
+        bundle = tmp_path / "bundle"
+        scan = write_segments(PipelineInputs.from_study(small_study), bundle)["scan"]
+        assert main(["segments", "verify", str(bundle), "-q"]) == 0
+        assert f"ok {scan}" in capsys.readouterr().out
+
+        digest = open_scan_table(scan).segment.meta["block_digests"][0]
+        data = bytearray(scan.read_bytes())
+        at = data.index(digest.encode())
+        data[at] = ord("1") if data[at] == ord("0") else ord("0")
+        # Re-seal the file so only the header's claim is wrong.
+        data[-16:] = blake2b(bytes(data[:-16]), digest_size=16).digest()
+        scan.write_bytes(bytes(data))
+        verify_segment(scan)
+
+        assert main(["segments", "verify", str(bundle), "-q"]) == 1
+        captured = capsys.readouterr()
+        assert f"STALE {scan}" in captured.err
+        assert f"ok {scan}" not in captured.out
+
+
 class TestRunsAndMetrics:
     @pytest.fixture()
     def ledger_with_two_runs(self, tmp_path):

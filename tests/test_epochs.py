@@ -341,6 +341,29 @@ class TestRunEpoch:
         assert metrics.stages[0].cached is True
         assert metrics.metrics["epoch.domains_reused"] == reused
 
+    def test_seeding_places_new_domains_at_their_sorted_slots(self, tmp_path):
+        # Brand-new domains sorting before, between and after the base's
+        # are encoded fresh; every clean base domain is still reused.
+        world = _world()
+        delta = _delta(world)
+        template = delta.scan_rows[0]
+        new_names = ("a-new.example.com", "b-new.example.com", "zz-new.example.com")
+        rows = tuple(
+            (*template[:6], (name, f"www.{name}"), (name,), *template[8:])
+            for name in new_names
+        )
+        delta = replace(delta, scan_rows=delta.scan_rows + rows)
+        cache = StageCache(tmp_path)
+        HijackPipeline(world).profile(cache=cache)
+        report, metrics, dirty = run_epoch(world, delta, cache=cache)
+        base_domains = set(world.scan.domains())
+        assert metrics.epoch["seeded"] is True
+        assert metrics.epoch["domains"] == len(base_domains) + len(new_names)
+        assert metrics.epoch["domains_reused"] == len(
+            base_domains - dirty.scan_direct
+        )
+        assert encode_report(report) == _cold_text(world, delta)
+
     def test_cold_cache_declines_but_stays_identical(self, tmp_path):
         world = _world()
         delta = _delta(world)

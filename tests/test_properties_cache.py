@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.cache.fingerprint import (
     RunKey,
     derive_run_key,
-    jsonable,
     plan_digest,
     stage_fingerprint,
     value_digest,
@@ -38,6 +37,7 @@ from repro.core.patterns import PatternConfig
 from repro.core.pipeline import PipelineConfig
 from repro.core.shortlist import ShortlistConfig
 from repro.faults.plan import FaultPlan, FaultSpec
+from tests.reference import jsonable
 
 # -- strategies ----------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro.scan.engine import RawScanObservation
 from repro.tls.truststore import TrustStore
 
 from tests.helpers import ALL_PERIODS, PERIOD, ScanSketch, make_cert, scan_dates
+from tests.reference import scan_row_dicts
 
 DATES = scan_dates()
 DOMAINS = ("alpha.com", "beta.org", "gamma.net")
@@ -140,7 +141,7 @@ class TestDegradedEquivalence:
         # The derived table's ids must equal a fresh build's (the
         # cache-safety invariant select() re-interning provides).
         rebuilt = ScanDataset(expected, DATES)
-        assert list(degraded.table.row_dicts()) == list(rebuilt.table.row_dicts())
+        assert list(scan_row_dicts(degraded.table)) == list(scan_row_dicts(rebuilt.table))
         for column in ("ip_id", "asn_id", "cert_id", "country_id"):
             assert getattr(degraded.table, column) == getattr(rebuilt.table, column)
 
@@ -188,7 +189,7 @@ class TestDoubleDegradation:
             )
             assert list(twice.records_for(domain)) == want
         rebuilt = ScanDataset(expected, DATES)
-        assert list(twice.table.row_dicts()) == list(rebuilt.table.row_dicts())
+        assert list(scan_row_dicts(twice.table)) == list(scan_row_dicts(rebuilt.table))
         for column in ("ip_id", "asn_id", "cert_id", "country_id"):
             assert getattr(twice.table, column) == getattr(rebuilt.table, column)
         # The intermediate view is untouched by the second derivation.
@@ -205,7 +206,7 @@ class TestIORoundTrip:
         path = tmp_path_factory.mktemp("ds") / "scan.jsonl"
         save_scan_dataset(dataset, path)
         loaded = load_scan_dataset(path)
-        assert list(loaded.table.row_dicts()) == list(dataset.table.row_dicts())
+        assert list(scan_row_dicts(loaded.table)) == list(scan_row_dicts(dataset.table))
         assert loaded.scan_dates == dataset.scan_dates
         assert loaded.records() == dataset.records()
         # Interning survives the trip: one certificate object per
@@ -278,6 +279,6 @@ class TestAnnotatorMemoization:
             _CountingRouting(), _CountingGeo(), TrustStore()
         ).annotate_dataset(observations, DATES)
         assert via_table.records() == via_records.records()
-        assert list(via_table.table.row_dicts()) == list(
-            via_records.table.row_dicts()
+        assert list(scan_row_dicts(via_table.table)) == list(
+            scan_row_dicts(via_records.table)
         )
